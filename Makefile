@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check chaos-smoke bench-smoke throughput-gate parity-gate parity-bench policy-gate recovery-bench cluster-gate cluster-bench sched-gate sched-bench latency-gate latency-bench ci
+.PHONY: build test race vet fmt-check perfbench-check chaos-smoke bench-smoke throughput-gate parity-gate parity-bench policy-gate recovery-bench cluster-gate cluster-bench sched-gate sched-bench latency-gate latency-bench ci
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,11 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# perfbench is a module of its own, outside the root ./... patterns: vet
+# and test it against the current server API, as the build job does.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # A single fixed-seed round of every chaos campaign, as the smoke test runs.
 chaos-smoke:
@@ -106,4 +111,4 @@ latency-gate:
 latency-bench:
 	$(GO) run ./cmd/sdrad-bench -latency -latency-json BENCH_latency.json
 
-ci: build vet fmt-check test race chaos-smoke parity-gate policy-gate cluster-gate sched-gate latency-gate
+ci: build vet fmt-check test perfbench-check race chaos-smoke parity-gate policy-gate cluster-gate sched-gate latency-gate

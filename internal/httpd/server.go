@@ -16,37 +16,23 @@ import (
 	"sdrad/internal/policy"
 	"sdrad/internal/proc"
 	"sdrad/internal/sched"
+	"sdrad/internal/serve"
 	"sdrad/internal/stack"
 	"sdrad/internal/telemetry"
 	"sdrad/internal/tlsf"
 )
 
-// Variant selects the build under test (Figure 5 of the paper).
-type Variant int
+// Variant selects the build under test (Figure 5 of the paper). In
+// VariantSDRaD the HTTP parser runs in an accessible persistent nested
+// domain with per-request pools in a data domain.
+type Variant = serve.Variant
 
 // Build variants.
 const (
-	// VariantVanilla is the unmodified baseline.
-	VariantVanilla Variant = iota + 1
-	// VariantTLSF swaps the allocator only.
-	VariantTLSF
-	// VariantSDRaD runs the HTTP parser in an accessible persistent
-	// nested domain with per-request pools in a data domain.
-	VariantSDRaD
+	VariantVanilla = serve.VariantVanilla
+	VariantTLSF    = serve.VariantTLSF
+	VariantSDRaD   = serve.VariantSDRaD
 )
-
-func (v Variant) String() string {
-	switch v {
-	case VariantVanilla:
-		return "vanilla"
-	case VariantTLSF:
-		return "tlsf"
-	case VariantSDRaD:
-		return "sdrad"
-	default:
-		return "unknown"
-	}
-}
 
 // Domain indices used by the hardened worker.
 const (
@@ -252,10 +238,15 @@ type Worker struct {
 	ctrl *sched.Controller
 
 	// Parser-domain state (owned by the worker thread).
-	domainReady  bool
-	parseBuf     mem.Addr
-	pool         *Pool
-	lastParseErr error // protocol error carried out of the guarded parse
+	domainReady bool
+	parseBuf    mem.Addr
+	pool        *Pool
+
+	// Reused guarded-path scratch (owned by the worker thread): a single
+	// request runs as the one-request batch one/oneRes.
+	states []reqState
+	one    [1][]byte
+	oneRes [1]serve.Result
 
 	// Client-certificate verification state (§V-C integration).
 	verifier  *cryptolib.Verifier // hardened build: isolated verifier
@@ -268,25 +259,17 @@ type fileEntry struct {
 	size int
 }
 
-type event struct {
-	conn *Conn
-	req  []byte
-	resp chan result
-	// reqs/respN carry a pipelined batch: all requests are handled in one
-	// guard scope on the hardened build, and respN receives one result per
-	// request, in order.
-	reqs  [][]byte
-	respN chan []result
-	// inspect, when non-nil, makes the event a control event: the worker
-	// runs the closure on its own thread between requests (chaos-audit
-	// hook); conn and req are ignored.
-	inspect func(t *proc.Thread) error
-}
+// event is one client submission to a worker: a request, a pipelined
+// batch (all of it handled in one guard scope on the hardened build), or
+// a control event.
+type event = serve.Event[*Conn]
 
-type result struct {
-	data   []byte
-	closed bool
-	err    error
+// reqState is the per-request scratch runHardenedBatch threads through
+// the guard scope.
+type reqState struct {
+	done bool  // result decided before the guard ran
+	perr error // protocol error from the guarded parse
+	req  Request
 }
 
 // Conn is a keep-alive client connection pinned to a worker.
@@ -302,21 +285,12 @@ type Conn struct {
 
 var connIDs atomic.Int64
 
-// connAllocator abstracts the per-variant malloc for worker state.
+// connAllocator abstracts the per-variant malloc for worker state; a
+// galloc or TLSF heap serves directly, since a worker is single-threaded.
 type connAllocator interface {
 	Alloc(c *mem.CPU, size uint64) (mem.Addr, error)
 	Free(c *mem.CPU, ptr mem.Addr) error
 }
-
-type gallocShim struct{ h *galloc.Heap }
-
-func (g gallocShim) Alloc(c *mem.CPU, size uint64) (mem.Addr, error) { return g.h.Alloc(c, size) }
-func (g gallocShim) Free(c *mem.CPU, ptr mem.Addr) error             { return g.h.Free(c, ptr) }
-
-type tlsfShim struct{ h *tlsf.Heap }
-
-func (t tlsfShim) Alloc(c *mem.CPU, size uint64) (mem.Addr, error) { return t.h.Alloc(c, size) }
-func (t tlsfShim) Free(c *mem.CPU, ptr mem.Addr) error             { return t.h.Free(c, ptr) }
 
 // newWorker provisions and starts one worker process.
 func newWorker(cfg Config, idx int) (*Worker, error) {
@@ -420,7 +394,7 @@ func (w *Worker) provision(t *proc.Thread) error {
 		if err != nil {
 			return err
 		}
-		w.alloc = tlsfShim{h: h}
+		w.alloc = h
 	case VariantVanilla:
 		base, err := w.p.AddressSpace().MapAnon(int(heapBudget(w.cfg)), mem.ProtRW, 0)
 		if err != nil {
@@ -430,7 +404,7 @@ func (w *Worker) provision(t *proc.Thread) error {
 		if err != nil {
 			return err
 		}
-		w.alloc = gallocShim{h: h}
+		w.alloc = h
 	}
 	if w.cfg.Variant != VariantSDRaD {
 		// The baseline request pool comes from the worker heap, allocated
@@ -508,11 +482,14 @@ func (w *Worker) run(t *proc.Thread) error {
 		case <-w.p.Done():
 			return nil
 		case ev := <-w.ch:
-			if ev.reqs != nil {
-				ev.respN <- w.handleBatch(t, ev)
-				continue
+			switch {
+			case ev.Inspect != nil:
+				ev.Resp <- serve.Result{Err: ev.Inspect(t)}
+			case ev.Reqs != nil:
+				ev.RespN <- w.handleBatch(t, ev.Conn, ev.Reqs)
+			default:
+				ev.Resp <- w.handleEvent(t, ev.Conn, ev.Req)
 			}
-			ev.resp <- w.handleEvent(t, ev)
 		}
 	}
 }
@@ -524,26 +501,12 @@ func (w *Worker) NewConn() *Conn {
 
 // Do sends one HTTP request and returns the raw response.
 func (c *Conn) Do(req []byte) (resp []byte, closed bool, err error) {
-	ev := &event{conn: c, req: req, resp: make(chan result, 1)}
-	select {
-	case c.w.ch <- ev:
-	case <-c.w.p.Done():
-		return nil, true, ErrWorkerDown
-	}
-	select {
-	case r := <-ev.resp:
-		return r.data, r.closed, r.err
-	case <-c.w.p.Done():
-		return nil, true, ErrWorkerDown
-	}
+	r := serve.Do(c.w.ch, c.w.p.Done(), ErrWorkerDown, c, req)
+	return r.Resp, r.Closed, r.Err
 }
 
 // PipelineResult is one request's outcome from DoPipeline.
-type PipelineResult struct {
-	Resp   []byte
-	Closed bool
-	Err    error
-}
+type PipelineResult = serve.Result
 
 // DoPipeline sends reqs back-to-back on the connection and returns one
 // result per request, in order. The hardened worker parses up to
@@ -551,58 +514,14 @@ type PipelineResult struct {
 // pipelines are split into MaxBatch-sized chunks client-side. Requests
 // behind a server-side close report Closed, as if issued after it.
 func (c *Conn) DoPipeline(reqs [][]byte) []PipelineResult {
-	w := c.w
-	out := make([]PipelineResult, 0, len(reqs))
-	down := func() []PipelineResult {
-		for len(out) < len(reqs) {
-			out = append(out, PipelineResult{Closed: true, Err: ErrWorkerDown})
-		}
-		return out
-	}
-	maxB := w.cfg.MaxBatch
-	var evs []*event
-	for off := 0; off < len(reqs); off += maxB {
-		end := off + maxB
-		if end > len(reqs) {
-			end = len(reqs)
-		}
-		ev := &event{conn: c, reqs: reqs[off:end], respN: make(chan []result, 1)}
-		select {
-		case w.ch <- ev:
-			evs = append(evs, ev)
-		case <-w.p.Done():
-			return down()
-		}
-	}
-	for _, ev := range evs {
-		select {
-		case rs := <-ev.respN:
-			for _, r := range rs {
-				out = append(out, PipelineResult{Resp: r.data, Closed: r.closed, Err: r.err})
-			}
-		case <-w.p.Done():
-			return down()
-		}
-	}
-	return out
+	return serve.DoPipeline(c.w.ch, c.w.p.Done(), ErrWorkerDown, c, reqs, c.w.cfg.MaxBatch)
 }
 
 // Inspect runs fn on the worker's event-loop thread between requests. The
 // chaos engine uses it to run invariant audits and arm fault injectors on
 // the serving thread; fn must leave the thread in the root domain.
 func (w *Worker) Inspect(fn func(t *proc.Thread) error) error {
-	ev := &event{inspect: fn, resp: make(chan result, 1)}
-	select {
-	case w.ch <- ev:
-	case <-w.p.Done():
-		return ErrWorkerDown
-	}
-	select {
-	case r := <-ev.resp:
-		return r.err
-	case <-w.p.Done():
-		return ErrWorkerDown
-	}
+	return serve.Inspect(w.ch, w.p.Done(), ErrWorkerDown, fn)
 }
 
 // Stop terminates the worker process.
@@ -649,101 +568,91 @@ func (w *Worker) Process() *proc.Process { return w.p }
 // Library exposes the SDRaD library (nil for baselines).
 func (w *Worker) Library() *core.Library { return w.lib }
 
-// handleEvent serves one HTTP request.
-func (w *Worker) handleEvent(t *proc.Thread, ev *event) result {
-	if ev.inspect != nil {
-		return result{err: ev.inspect(t)}
+// handleEvent serves one HTTP request. The hardened build runs it as a
+// one-request batch on worker scratch, so single and pipelined requests
+// take the same guarded path; a single request makes no controller
+// observation.
+func (w *Worker) handleEvent(t *proc.Thread, conn *Conn, req []byte) serve.Result {
+	if w.cfg.Variant != VariantSDRaD {
+		return w.handleRequest(t, conn, req)
 	}
-	return w.handleRequest(t, ev.conn, ev.req)
+	w.one[0] = req
+	w.runHardenedBatch(t, conn, w.one[:1], w.oneRes[:1])
+	return w.oneRes[0]
 }
 
 // handleBatch serves a pipelined batch of requests from one connection.
-// The hardened build parses the whole batch inside a single guard scope
-// (one context save, one recovery point) with the per-phase Enter/Exit
-// transitions per request; a rewind anywhere in the batch discards the
-// whole batch and closes the connection. Baselines have no guard cost to
-// amortize and run the requests back to back.
-func (w *Worker) handleBatch(t *proc.Thread, ev *event) []result {
-	results := make([]result, len(ev.reqs))
+// The hardened build parses it in chunks, each inside a single guard
+// scope (one context save, one recovery point) with the per-phase
+// Enter/Exit transitions per request; a rewind anywhere in a chunk
+// discards the chunk and closes the connection. A chunk is MaxBatch
+// requests, or the adaptive controller's live bound when there is one:
+// a rewind while the window is hot then discards less of the pipeline,
+// and the bound regrows between chunks under sustained depth. Baselines
+// have no guard cost to amortize and run the requests back to back.
+func (w *Worker) handleBatch(t *proc.Thread, conn *Conn, reqs [][]byte) []serve.Result {
+	results := make([]serve.Result, len(reqs))
 	if w.cfg.Variant != VariantSDRaD {
-		for i, req := range ev.reqs {
-			results[i] = w.handleRequest(t, ev.conn, req)
+		for i, req := range reqs {
+			results[i] = w.handleRequest(t, conn, req)
 		}
 		return results
 	}
-	if w.ctrl == nil {
-		return w.runHardenedBatch(t, ev.conn, ev.reqs, results)
-	}
-	// Adaptive chunking: each chunk is one guard scope sized to the
-	// controller's live bound, so a rewind while the window is hot
-	// discards (and a fault closes) less of the pipeline; the bound
-	// regrows between chunks under sustained depth.
-	for off := 0; off < len(ev.reqs); {
-		bound := w.ctrl.Bound()
-		end := off + bound
-		if end > len(ev.reqs) {
-			end = len(ev.reqs)
+	bound := w.cfg.MaxBatch
+	for off := 0; off < len(reqs); {
+		var t0 int64
+		if w.ctrl != nil {
+			bound, t0 = w.ctrl.Bound(), w.ctrl.Now()
 		}
-		t0 := w.ctrl.Now()
-		w.runHardenedBatch(t, ev.conn, ev.reqs[off:end], results[off:end])
-		w.ctrl.ObserveRound(len(w.ch)+len(ev.reqs)-end, end-off, w.ctrl.Now()-t0)
+		end := min(off+bound, len(reqs))
+		w.runHardenedBatch(t, conn, reqs[off:end], results[off:end])
+		if w.ctrl != nil {
+			w.ctrl.ObserveRound(len(w.ch)+len(reqs)-end, end-off, w.ctrl.Now()-t0)
+		}
 		off = end
 	}
 	return results
 }
 
-// handleRequest is the sequential per-request flow.
-func (w *Worker) handleRequest(t *proc.Thread, conn *Conn, reqBytes []byte) result {
+// handleRequest is the baselines' sequential per-request flow: the parser
+// runs unprotected on the connection buffer.
+func (w *Worker) handleRequest(t *proc.Thread, conn *Conn, reqBytes []byte) serve.Result {
 	if conn.closed {
-		return result{closed: true, err: ErrConnClosed}
+		return serve.Result{Closed: true, Err: ErrConnClosed}
 	}
 	if len(reqBytes) > w.cfg.ConnBufSize {
-		return result{err: ErrTooLarge}
+		return serve.Result{Err: ErrTooLarge}
 	}
 	w.reqs.Add(1)
-	// Resilience-policy admission: a quarantined parser is not
-	// re-created; the request is answered 503 with Retry-After (or the
-	// connection shed) without touching the guard scope.
-	if w.cfg.Variant == VariantSDRaD {
-		if dec := w.lib.Policy().Admit(int(parserUDI)); !dec.Allowed() {
-			return w.respondDegraded(t, conn, dec.State, dec.RetryAfterNs)
-		}
-	}
 	c := t.CPU()
 	if !conn.ready {
 		if err := w.allocConnBuffers(t, conn); err != nil {
-			return result{err: err}
+			return serve.Result{Err: err}
 		}
 	}
 	c.Write(conn.rbuf, reqBytes)
-
 	var req Request
-	var perr error
-	if w.cfg.Variant == VariantSDRaD {
-		res := w.parseHardened(t, conn, len(reqBytes), &req)
-		if res != nil {
-			return *res
-		}
-		perr = w.lastParseErr
-		w.lastParseErr = nil
-	} else {
-		env := &parserEnv{c: c, buf: conn.rbuf, blen: len(reqBytes), pool: w.pool}
-		hdrOff, err := parseRequestLine(env, &req)
-		if err == nil {
-			err = parseHeaders(env, &req, hdrOff)
-		}
-		w.pool.Reset(c)
-		perr = err
+	env := &parserEnv{c: c, buf: conn.rbuf, blen: len(reqBytes), pool: w.pool}
+	hdrOff, perr := parseRequestLine(env, &req)
+	if perr == nil {
+		perr = parseHeaders(env, &req, hdrOff)
 	}
+	w.pool.Reset(c)
+	return w.reply(t, conn, &req, perr)
+}
+
+// reply answers one parsed request: the client-certificate check (when
+// enabled), then the response.
+func (w *Worker) reply(t *proc.Thread, conn *Conn, req *Request, perr error) serve.Result {
 	status := ""
 	if perr == nil && w.cfg.VerifyClientCerts {
 		var closed bool
-		status, closed = w.checkClientCert(t, conn, &req)
+		status, closed = w.checkClientCert(t, conn, req)
 		if closed {
-			return result{closed: true}
+			return serve.Result{Closed: true}
 		}
 	}
-	return w.respond(t, conn, &req, perr, status)
+	return w.respond(t, conn, req, perr, status)
 }
 
 // maxCertSize bounds the client certificates the server accepts.
@@ -803,82 +712,6 @@ func DecodeCertHeader(v string) []byte {
 	return []byte(strings.ReplaceAll(v, "|", "\n"))
 }
 
-// parseHardened runs the two parser phases inside the persistent parser
-// domain on a copy of the request bytes (paper Figure: domain transitions
-// occur repeatedly in one request; one recovery point covers all phases).
-// It returns a non-nil result when the connection must be closed due to a
-// rewind.
-func (w *Worker) parseHardened(t *proc.Thread, conn *Conn, rlen int, req *Request) *result {
-	lib := w.lib
-	gerr := lib.Guard(t, parserUDI, func() error {
-		if !w.domainReady {
-			if err := lib.DProtect(t, parserUDI, poolUDI, mem.ProtRW); err != nil {
-				return err
-			}
-			buf, err := lib.Malloc(t, parserUDI, uint64(w.cfg.ConnBufSize))
-			if err != nil {
-				return err
-			}
-			w.parseBuf = buf
-			w.domainReady = true
-		}
-		// Copy the request bytes into the parser domain (the paper copies
-		// the linked header/URI data so the parser never touches root
-		// memory directly).
-		lib.Copy(t, w.parseBuf, conn.rbuf, rlen)
-		env := &parserEnv{c: t.CPU(), buf: w.parseBuf, blen: rlen, pool: w.pool}
-
-		// Phase 1: request line (with the vulnerable URI normalizer).
-		if err := lib.Enter(t, parserUDI); err != nil {
-			return err
-		}
-		hdrOff, perr := parseRequestLine(env, req)
-		if err := lib.Exit(t); err != nil {
-			return err
-		}
-		// Phase 2: headers.
-		if perr == nil {
-			if err := lib.Enter(t, parserUDI); err != nil {
-				return err
-			}
-			perr = parseHeaders(env, req, hdrOff)
-			if err := lib.Exit(t); err != nil {
-				return err
-			}
-		}
-		w.pool.Reset(t.CPU())
-		w.lastParseErr = perr
-		return nil
-	}, core.Accessible())
-	if gerr == nil {
-		return nil
-	}
-	var abn *core.AbnormalExit
-	if errors.As(gerr, &abn) {
-		// Rewind: the parser domain is gone (recreated lazily); close
-		// only this connection. The pool data domain survives; reset it.
-		w.domainReady = false
-		w.pool.Reset(t.CPU())
-		w.rewinds.Add(1)
-		if w.ctrl != nil {
-			w.ctrl.NoteRewind()
-		}
-		conn.closed = true
-		w.freeConnBuffers(t, conn)
-		return &result{closed: true}
-	}
-	var qe *core.QuarantineError
-	if errors.As(gerr, &qe) {
-		// The shared policy engine escalated between the admission
-		// pre-check and the lazy re-init inside the guard (a sibling
-		// worker's rewinds): same degraded answer, connection stays open.
-		w.domainReady = false
-		r := w.respondDegraded(t, conn, quarantineState(qe), qe.RetryAfterNs)
-		return &r
-	}
-	return &result{err: gerr}
-}
-
 // quarantineState maps a monitor-side denial back onto the policy ladder
 // state that drives the degraded response.
 func quarantineState(qe *core.QuarantineError) policy.State {
@@ -888,59 +721,51 @@ func quarantineState(qe *core.QuarantineError) policy.State {
 	return policy.StateQuarantined
 }
 
-// runHardenedBatch parses every request of a pipelined batch inside ONE
-// guard scope: the per-request phase transitions (Enter/Exit around the
-// request line and the headers) still happen, but the context save and
-// the recovery point are established once for the batch. An abnormal
-// exit anywhere rewinds once, discards the whole in-flight batch, and
-// closes the connection — the batch analog of the paper's single-event
-// rewind semantics.
-func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, results []result) []result {
+// runHardenedBatch parses every request of a batch inside ONE guard
+// scope in the persistent parser domain, on a copy of the request bytes
+// (the paper saves the first parser entry point as the rewind context).
+// The per-request phase transitions (Enter/Exit around the request line
+// and the headers) still happen, but the context save and the recovery
+// point are established once for the batch. An abnormal exit anywhere
+// rewinds once, discards the whole in-flight batch, and closes the
+// connection. A single request is a batch of one.
+func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, results []serve.Result) {
 	lib := w.lib
 	c := t.CPU()
-	n := len(reqs)
-	done := make([]bool, n)
-	perrs := make([]error, n)
-	parsed := make([]Request, n)
+	if cap(w.states) < len(reqs) {
+		w.states = make([]reqState, len(reqs))
+	}
+	states := w.states[:len(reqs)]
 	live := 0
 	for i, req := range reqs {
-		if conn.closed {
-			done[i] = true
-			results[i] = result{closed: true, err: ErrConnClosed}
-			continue
+		states[i] = reqState{}
+		switch {
+		case conn.closed:
+			states[i].done = true
+			results[i] = serve.Result{Closed: true, Err: ErrConnClosed}
+		case len(req) > w.cfg.ConnBufSize:
+			states[i].done = true
+			results[i] = serve.Result{Err: ErrTooLarge}
+		default:
+			w.reqs.Add(1)
+			live++
 		}
-		if len(req) > w.cfg.ConnBufSize {
-			done[i] = true
-			results[i] = result{err: ErrTooLarge}
-			continue
-		}
-		w.reqs.Add(1)
-		if !conn.ready {
-			if err := w.allocConnBuffers(t, conn); err != nil {
-				done[i] = true
-				results[i] = result{err: err}
-				continue
-			}
-		}
-		live++
 	}
 	if live == 0 {
-		return results
+		return
 	}
-	// Resilience-policy admission for the whole batch (one guard scope,
-	// one decision): every live request gets the degraded response.
+	// Resilience-policy admission, one decision per guard scope and ahead
+	// of any buffer allocation: a quarantined parser is not re-created,
+	// and every live request gets the degraded answer.
 	if dec := lib.Policy().Admit(int(parserUDI)); !dec.Allowed() {
-		for i := range reqs {
-			if done[i] {
-				continue
-			}
-			if conn.closed {
-				results[i] = result{closed: true, err: ErrConnClosed}
-				continue
-			}
-			results[i] = w.respondDegraded(t, conn, dec.State, dec.RetryAfterNs)
+		w.degradeBatch(t, conn, states, results, dec.State, dec.RetryAfterNs)
+		return
+	}
+	if !conn.ready {
+		if err := w.allocConnBuffers(t, conn); err != nil {
+			settle(states, results, serve.Result{Err: err})
+			return
 		}
-		return results
 	}
 	gerr := lib.Guard(t, parserUDI, func() error {
 		if !w.domainReady {
@@ -955,40 +780,47 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 			w.domainReady = true
 		}
 		for i, req := range reqs {
-			if done[i] {
+			st := &states[i]
+			if st.done {
 				continue
 			}
 			// Stage through the connection read buffer (a pipelined
-			// connection reuses it per request) and copy into the domain.
+			// connection reuses it per request) and copy into the domain,
+			// so the parser never touches root memory directly.
 			c.Write(conn.rbuf, req)
 			lib.Copy(t, w.parseBuf, conn.rbuf, len(req))
 			env := &parserEnv{c: c, buf: w.parseBuf, blen: len(req), pool: w.pool}
+			// Phase 1: request line (with the vulnerable URI normalizer).
 			if err := lib.Enter(t, parserUDI); err != nil {
 				return err
 			}
-			hdrOff, perr := parseRequestLine(env, &parsed[i])
+			hdrOff, perr := parseRequestLine(env, &st.req)
 			if err := lib.Exit(t); err != nil {
 				return err
 			}
+			// Phase 2: headers.
 			if perr == nil {
 				if err := lib.Enter(t, parserUDI); err != nil {
 					return err
 				}
-				perr = parseHeaders(env, &parsed[i], hdrOff)
+				perr = parseHeaders(env, &st.req, hdrOff)
 				if err := lib.Exit(t); err != nil {
 					return err
 				}
 			}
 			w.pool.Reset(c)
-			perrs[i] = perr
+			st.perr = perr
 		}
 		return nil
 	}, core.Accessible())
 	if gerr != nil {
 		var abn *core.AbnormalExit
-		if errors.As(gerr, &abn) {
-			// Rewind: one discard for the whole batch, the connection with
-			// a request in flight closes.
+		var qe *core.QuarantineError
+		switch {
+		case errors.As(gerr, &abn):
+			// Rewind: the parser domain is gone (recreated lazily) and the
+			// whole batch with it; close only this connection. The pool
+			// data domain survives; reset it.
 			w.domainReady = false
 			w.pool.Reset(c)
 			w.rewinds.Add(1)
@@ -999,61 +831,54 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 				conn.closed = true
 				w.freeConnBuffers(t, conn)
 			}
-			for i := range reqs {
-				if !done[i] {
-					results[i] = result{closed: true}
-				}
-			}
-			return results
-		}
-		var qe *core.QuarantineError
-		if errors.As(gerr, &qe) {
-			// Re-init denied mid-flight by the shared engine: answer the
-			// whole batch degraded, exactly one decision, no discard.
+			settle(states, results, serve.Result{Closed: true})
+		case errors.As(gerr, &qe):
+			// The shared policy engine escalated between the admission
+			// pre-check and the lazy re-init inside the guard (a sibling
+			// worker's rewinds): the same degraded answer, no discard.
 			w.domainReady = false
-			st := quarantineState(qe)
-			for i := range reqs {
-				if done[i] {
-					continue
-				}
-				if conn.closed {
-					results[i] = result{closed: true, err: ErrConnClosed}
-					continue
-				}
-				results[i] = w.respondDegraded(t, conn, st, qe.RetryAfterNs)
-			}
-			return results
+			w.degradeBatch(t, conn, states, results, quarantineState(qe), qe.RetryAfterNs)
+		default:
+			settle(states, results, serve.Result{Err: gerr})
 		}
-		for i := range reqs {
-			if !done[i] {
-				results[i] = result{err: gerr}
-			}
-		}
-		return results
+		return
 	}
 	// Respond in batch order. A response that closes the connection
 	// (Connection: close, or a certificate-verifier rewind) closes it for
 	// the requests behind it, exactly as in the sequential flow.
 	for i := range reqs {
-		if done[i] {
-			continue
+		switch {
+		case states[i].done:
+		case conn.closed:
+			results[i] = serve.Result{Closed: true, Err: ErrConnClosed}
+		default:
+			results[i] = w.reply(t, conn, &states[i].req, states[i].perr)
 		}
-		if conn.closed {
-			results[i] = result{closed: true, err: ErrConnClosed}
-			continue
-		}
-		status := ""
-		if perrs[i] == nil && w.cfg.VerifyClientCerts {
-			var closed bool
-			status, closed = w.checkClientCert(t, conn, &parsed[i])
-			if closed {
-				results[i] = result{closed: true}
-				continue
-			}
-		}
-		results[i] = w.respond(t, conn, &parsed[i], perrs[i], status)
 	}
-	return results
+}
+
+// settle gives every request of the batch still undecided the result r.
+func settle(states []reqState, results []serve.Result, r serve.Result) {
+	for i := range states {
+		if !states[i].done {
+			results[i] = r
+		}
+	}
+}
+
+// degradeBatch answers every undecided request of the batch on the
+// resilience policy's degraded path; requests behind a shed (closed)
+// connection report the close.
+func (w *Worker) degradeBatch(t *proc.Thread, conn *Conn, states []reqState, results []serve.Result, state policy.State, retryAfterNs int64) {
+	for i := range states {
+		switch {
+		case states[i].done:
+		case conn.closed:
+			results[i] = serve.Result{Closed: true, Err: ErrConnClosed}
+		default:
+			results[i] = w.respondDegraded(t, conn, state, retryAfterNs)
+		}
+	}
 }
 
 // respondDegraded is the worker's resilience-policy response: while the
@@ -1063,14 +888,14 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 // open; once the policy escalates to shedding the connection is closed
 // outright. The response is synthesized host-side — the degraded path
 // deliberately touches no simulated domain memory.
-func (w *Worker) respondDegraded(t *proc.Thread, conn *Conn, state policy.State, retryAfterNs int64) result {
+func (w *Worker) respondDegraded(t *proc.Thread, conn *Conn, state policy.State, retryAfterNs int64) serve.Result {
 	if state == policy.StateShedding {
 		if !conn.closed {
 			conn.closed = true
 			w.freeConnBuffers(t, conn)
 			w.shed.Add(1)
 		}
-		return result{closed: true}
+		return serve.Result{Closed: true}
 	}
 	w.degraded.Add(1)
 	secs := (retryAfterNs + int64(time.Second) - 1) / int64(time.Second)
@@ -1080,13 +905,13 @@ func (w *Worker) respondDegraded(t *proc.Thread, conn *Conn, state policy.State,
 	resp := fmt.Sprintf("HTTP/1.1 503 Service Unavailable\r\n"+
 		"Server: sdrad-httpd/1.23\r\nRetry-After: %d\r\nContent-Length: 0\r\n"+
 		"Connection: keep-alive\r\n\r\n", secs)
-	return result{data: []byte(resp)}
+	return serve.Result{Resp: []byte(resp)}
 }
 
 // respond builds the HTTP response in the connection write buffer.
 // statusOverride, when non-empty, replaces the normal status line (403
 // from certificate checking).
-func (w *Worker) respond(t *proc.Thread, conn *Conn, req *Request, perr error, statusOverride string) result {
+func (w *Worker) respond(t *proc.Thread, conn *Conn, req *Request, perr error, statusOverride string) serve.Result {
 	c := t.CPU()
 	var status string
 	var body fileEntry
@@ -1113,7 +938,7 @@ func (w *Worker) respond(t *proc.Thread, conn *Conn, req *Request, perr error, s
 	header := fmt.Sprintf("%sServer: sdrad-httpd/1.23\r\nContent-Length: %d\r\n%s\r\n",
 		status, body.size, conLine)
 	if len(header)+body.size > conn.wcap {
-		return result{err: ErrTooLarge}
+		return serve.Result{Err: ErrTooLarge}
 	}
 	c.Write(conn.wbuf, []byte(header))
 	wlen := len(header)
@@ -1128,7 +953,7 @@ func (w *Worker) respond(t *proc.Thread, conn *Conn, req *Request, perr error, s
 		conn.closed = true
 		w.freeConnBuffers(t, conn)
 	}
-	return result{data: resp, closed: !req.KeepAlive}
+	return serve.Result{Resp: resp, Closed: !req.KeepAlive}
 }
 
 // freeConnBuffers releases a closed connection's buffers back to the

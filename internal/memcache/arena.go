@@ -4,9 +4,7 @@ import (
 	"errors"
 	"sync"
 
-	"sdrad/internal/galloc"
 	"sdrad/internal/mem"
-	"sdrad/internal/tlsf"
 )
 
 // ErrArenaFull is returned when the cache memory limit is reached; the
@@ -47,39 +45,21 @@ type connAlloc interface {
 	Free(c *mem.CPU, ptr mem.Addr) error
 }
 
-// gallocAlloc adapts the first-fit baseline allocator with a lock
-// (glibc's malloc is thread-safe; ours needs the same property).
-type gallocAlloc struct {
+// lockedAlloc serializes a baseline heap (galloc or TLSF) shared by all
+// workers: glibc's malloc is thread-safe, ours needs the same property.
+type lockedAlloc struct {
 	mu sync.Mutex
-	h  *galloc.Heap
+	a  connAlloc
 }
 
-func (g *gallocAlloc) Alloc(c *mem.CPU, size uint64) (mem.Addr, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.h.Alloc(c, size)
+func (l *lockedAlloc) Alloc(c *mem.CPU, size uint64) (mem.Addr, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.a.Alloc(c, size)
 }
 
-func (g *gallocAlloc) Free(c *mem.CPU, ptr mem.Addr) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.h.Free(c, ptr)
-}
-
-// tlsfAlloc adapts a TLSF heap the same way.
-type tlsfAlloc struct {
-	mu sync.Mutex
-	h  *tlsf.Heap
-}
-
-func (t *tlsfAlloc) Alloc(c *mem.CPU, size uint64) (mem.Addr, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.h.Alloc(c, size)
-}
-
-func (t *tlsfAlloc) Free(c *mem.CPU, ptr mem.Addr) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.h.Free(c, ptr)
+func (l *lockedAlloc) Free(c *mem.CPU, ptr mem.Addr) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.a.Free(c, ptr)
 }

@@ -293,3 +293,28 @@ func TestStealFaultDiscardsOnlyStolenSegment(t *testing.T) {
 		}
 	}
 }
+
+// TestStealModeSpawnIsRaceFree creates and stops steal-mode servers in a
+// loop. A worker at the AIMD floor scans its siblings from its own
+// goroutine right away (MaxBatch 1 starts every controller there), so a
+// worker spawned while later siblings were still being appended to the
+// server's worker list raced that append. Run with -race.
+func TestStealModeSpawnIsRaceFree(t *testing.T) {
+	for i := 0; i < 36; i++ {
+		s, err := NewServer(Config{
+			Variant:    VariantVanilla,
+			Workers:    8,
+			HashPower:  10,
+			CacheBytes: 1 << 20,
+			MaxBatch:   1,
+			Sched:      &sched.Config{Steal: true, StealInterval: 50 * time.Microsecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mustDo(t, s.NewConn(), FormatGet("k")); string(got) != "END\r\n" {
+			t.Fatalf("iteration %d: get = %q", i, got)
+		}
+		s.Stop()
+	}
+}

@@ -17,36 +17,22 @@ import (
 	"sdrad/internal/policy"
 	"sdrad/internal/proc"
 	"sdrad/internal/sched"
+	"sdrad/internal/serve"
 	"sdrad/internal/telemetry"
 	"sdrad/internal/tlsf"
 )
 
-// Variant selects the build under test (Figure 4 of the paper).
-type Variant int
+// Variant selects the build under test (Figure 4 of the paper). In
+// VariantSDRaD every event runs in a per-worker isolated domain on deep
+// copies of the connection buffers, with store updates deferred.
+type Variant = serve.Variant
 
 // Build variants.
 const (
-	// VariantVanilla is the unmodified baseline (glibc-like allocator).
-	VariantVanilla Variant = iota + 1
-	// VariantTLSF swaps the allocator for TLSF but adds no isolation.
-	VariantTLSF
-	// VariantSDRaD is the hardened build: per-event isolated domains,
-	// deep-copied connection buffers, deferred store updates.
-	VariantSDRaD
+	VariantVanilla = serve.VariantVanilla
+	VariantTLSF    = serve.VariantTLSF
+	VariantSDRaD   = serve.VariantSDRaD
 )
-
-func (v Variant) String() string {
-	switch v {
-	case VariantVanilla:
-		return "vanilla"
-	case VariantTLSF:
-		return "tlsf"
-	case VariantSDRaD:
-		return "sdrad"
-	default:
-		return "unknown"
-	}
-}
 
 // Domain indices used by the hardened build.
 const (
@@ -232,9 +218,9 @@ type worker struct {
 	// Reused per-batch scratch (owned by the worker goroutine).
 	items   []batchItem
 	states  []evState
-	results []result
+	results []serve.Result
 	one     [1]batchItem
-	oneRes  [1]result
+	oneRes  [1]serve.Result
 	dops    deferredOps
 	// rw is the worker's reusable reply assembler; drive_machine builds
 	// every response of a batch through it, so the steady state allocates
@@ -306,32 +292,17 @@ type evState struct {
 	data    []byte
 }
 
-type event struct {
-	conn *Conn
-	req  []byte
-	resp chan result
-	// reqs/respN replace req/resp for pipelined events (DoPipeline):
-	// every request of one event is handled in the same guard scope.
-	reqs  [][]byte
-	respN chan []result
-	// inspect, when non-nil, makes the event a control event: the worker
-	// runs the closure on its own thread between requests (chaos-audit
-	// hook); conn and req are ignored.
-	inspect func(t *proc.Thread) error
-}
+// event is one client submission to a worker: a request, a pipelined
+// run (every request of one event is handled in the same guard scope),
+// or a control event.
+type event = serve.Event[*Conn]
 
 // nreq is the number of requests the event contributes to a batch.
-func (ev *event) nreq() int {
-	if ev.reqs != nil {
-		return len(ev.reqs)
+func nreq(ev *event) int {
+	if ev.Reqs != nil {
+		return len(ev.Reqs)
 	}
 	return 1
-}
-
-type result struct {
-	data   []byte
-	closed bool
-	err    error
 }
 
 // Conn is a client connection. All its simulated-memory state is owned by
@@ -429,7 +400,6 @@ func NewServer(cfg Config) (*Server, error) {
 		if cfg.Sched != nil {
 			w.ctrl = sched.NewController(schedCfg, cfg.MaxBatch)
 		}
-		w.handle = s.p.Spawn(fmt.Sprintf("worker-%d", i), w.run)
 		s.workers = append(s.workers, w)
 	}
 	if cfg.Telemetry != nil {
@@ -475,6 +445,11 @@ func NewServer(cfg Config) (*Server, error) {
 			}
 		}
 	}
+	// Spawn only once every worker, and everything a worker reads, is in
+	// place: a stealing worker scans s.workers from its own goroutine.
+	for i, w := range s.workers {
+		w.handle = s.p.Spawn(fmt.Sprintf("worker-%d", i), w.run)
+	}
 	return s, nil
 }
 
@@ -511,7 +486,7 @@ func (s *Server) provision(t *proc.Thread) error {
 		if err != nil {
 			return err
 		}
-		s.connAllocator = &tlsfAlloc{h: h}
+		s.connAllocator = &lockedAlloc{a: h}
 		return s.provisionBaselineStorage(c)
 	case VariantVanilla:
 		base, err := as.MapAnon(int(s.cfg.CacheBytes+baselineSlack(s.cfg)), mem.ProtRW, 0)
@@ -522,7 +497,7 @@ func (s *Server) provision(t *proc.Thread) error {
 		if err != nil {
 			return err
 		}
-		s.connAllocator = &gallocAlloc{h: h}
+		s.connAllocator = &lockedAlloc{a: h}
 		return s.provisionBaselineStorage(c)
 	default:
 		return fmt.Errorf("memcache: unknown variant %d", s.cfg.Variant)
@@ -556,16 +531,8 @@ func (s *Server) provisionBaselineStorage(c *mem.CPU) error {
 // run is a worker thread's body: the event loop.
 func (w *worker) run(t *proc.Thread) error {
 	s := w.s
-	if s.cfg.Variant == VariantSDRaD {
-		// Create the per-thread event domain and grant it access to the
-		// shared database (deep copies of the connection buffer are made
-		// per event; the database itself is shared, as in the paper).
-		if err := s.lib.InitDomain(t, eventUDI, core.Accessible(), core.HeapSize(s.cfg.DomainHeapSize)); err != nil {
-			return err
-		}
-		if err := s.lib.DProtect(t, eventUDI, storageUDI, mem.ProtRW); err != nil {
-			return err
-		}
+	if err := s.initEventDomain(t); err != nil {
+		return err
 	}
 	maxBatch := s.cfg.MaxBatch
 	// pending holds an event drained from the channel that could not
@@ -614,8 +581,8 @@ func (w *worker) run(t *proc.Thread) error {
 				}
 			}
 		}
-		if ev.inspect != nil {
-			ev.resp <- result{err: ev.inspect(t)}
+		if ev.Inspect != nil {
+			ev.Resp <- serve.Result{Err: ev.Inspect(t)}
 			continue
 		}
 		// Drain up to the current bound of pending requests into one
@@ -634,13 +601,13 @@ func (w *worker) run(t *proc.Thread) error {
 			// drain is preserved bit for bit outside steal mode.
 			select {
 			case ev2 := <-w.ch:
-				if ev2.inspect != nil || len(w.items)+ev2.nreq() > bound {
+				if ev2.Inspect != nil || len(w.items)+nreq(ev2) > bound {
 					pending = ev2
 					break drain
 				}
 				w.items = appendItems(w.items, ev2)
 			case ev2 := <-w.stealch:
-				if len(w.items)+ev2.nreq() > bound {
+				if len(w.items)+nreq(ev2) > bound {
 					pending = ev2
 					break drain
 				}
@@ -676,41 +643,39 @@ func (w *worker) run(t *proc.Thread) error {
 	}
 }
 
+// initEventDomain creates the serving thread's event domain in the
+// hardened build and grants it access to the shared database (deep
+// copies of the connection buffer are made per event; the database
+// itself is shared, as in the paper).
+func (s *Server) initEventDomain(t *proc.Thread) error {
+	if s.cfg.Variant != VariantSDRaD {
+		return nil
+	}
+	if err := s.lib.InitDomain(t, eventUDI, core.Accessible(), core.HeapSize(s.cfg.DomainHeapSize)); err != nil {
+		return err
+	}
+	return s.lib.DProtect(t, eventUDI, storageUDI, mem.ProtRW)
+}
+
 // dispatchSched is the scheduler's batch dispatch: the drained batch is
 // split into contiguous per-shard segments — at event boundaries only,
 // so one pipelined event's run is never separated — and each segment
 // runs in its own guard scope against a single lock stripe. Segments
-// shorter than the controller's MinSplitRun are not worth their own
-// Guard/Enter/Exit round and stay merged with their neighbor.
+// shorter than sched.MinSplitRun are not worth their own
+// Guard/Enter/Exit round and stay merged with their neighbor; keyless
+// requests join either neighbor.
 func (s *Server) dispatchSched(t *proc.Thread, w *worker) {
 	items := w.items
-	minRun := w.ctrl.MinSplitRun()
-	if minRun <= 0 || len(items) < 2*minRun {
+	if len(items) < 2*sched.MinSplitRun {
 		deliver(items, s.dispatchBatch(t, w, items))
 		return
 	}
-	// Classify each item by its key's shard (one event's items share the
-	// event's classification; keyless requests are -1 and join either
-	// neighbor).
-	if cap(w.evShards) < len(items) {
-		w.evShards = make([]int, len(items))
-	}
-	shards := w.evShards[:len(items)]
-	for i := range items {
-		if i > 0 && items[i].ev == items[i-1].ev {
-			shards[i] = shards[i-1]
-			continue
-		}
-		shards[i] = -1
-		if key := requestKeyBytes(items[i].req); key != nil {
-			shards[i] = s.st.ShardFor(key)
-		}
-	}
+	shards := s.classifyShards(w)
 	start := 0
 	for i := 1; i < len(items); i++ {
 		if shards[i] == shards[i-1] || shards[i] < 0 || shards[i-1] < 0 ||
 			items[i].ev == items[i-1].ev ||
-			i-start < minRun || len(items)-i < minRun {
+			i-start < sched.MinSplitRun || len(items)-i < sched.MinSplitRun {
 			continue
 		}
 		seg := items[start:i]
@@ -799,16 +764,7 @@ steal:
 // synchronous, one event per connection in flight.
 func (s *Server) dispatchStolen(t *proc.Thread, w *worker) {
 	items := w.items
-	if cap(w.evShards) < len(items) {
-		w.evShards = make([]int, len(items))
-	}
-	shards := w.evShards[:len(items)]
-	for i := range items {
-		shards[i] = -1
-		if key := requestKeyBytes(items[i].req); key != nil {
-			shards[i] = s.st.ShardFor(key)
-		}
-	}
+	shards := s.classifyShards(w)
 	// Stable insertion sort by shard — stolen segments are at most one
 	// batch ceiling long, so O(n²) beats allocating a sorter.
 	for i := 1; i < len(items); i++ {
@@ -827,6 +783,28 @@ func (s *Server) dispatchStolen(t *proc.Thread, w *worker) {
 		s.stealSegments.Add(1)
 		start = i
 	}
+}
+
+// classifyShards maps each item of the worker's current batch to its
+// key's storage shard, -1 for keyless requests, in the worker's reused
+// scratch. One event's items share the event's classification.
+func (s *Server) classifyShards(w *worker) []int {
+	items := w.items
+	if cap(w.evShards) < len(items) {
+		w.evShards = make([]int, len(items))
+	}
+	shards := w.evShards[:len(items)]
+	for i := range items {
+		if i > 0 && items[i].ev == items[i-1].ev {
+			shards[i] = shards[i-1]
+			continue
+		}
+		shards[i] = -1
+		if key := requestKeyBytes(items[i].req); key != nil {
+			shards[i] = s.st.ShardFor(key)
+		}
+	}
+	return shards
 }
 
 // requestKeyBytes extracts the (first) key token of a text-protocol
@@ -863,45 +841,43 @@ func requestKeyBytes(req []byte) []byte {
 
 // appendItems flattens an event's requests into the batch.
 func appendItems(items []batchItem, ev *event) []batchItem {
-	if ev.reqs != nil {
-		for _, r := range ev.reqs {
+	if ev.Reqs != nil {
+		for _, r := range ev.Reqs {
 			items = append(items, batchItem{ev: ev, req: r})
 		}
 		return items
 	}
-	return append(items, batchItem{ev: ev, req: ev.req})
+	return append(items, batchItem{ev: ev, req: ev.Req})
 }
 
 // deliver routes per-item results back to the issuing clients. One
 // event's items are contiguous in the batch (appendItems never splits
 // an event), so a pipelined event's results are a contiguous run.
-func deliver(items []batchItem, results []result) {
+func deliver(items []batchItem, results []serve.Result) {
 	i := 0
 	for i < len(items) {
 		ev := items[i].ev
-		if ev.respN != nil {
-			n := len(ev.reqs)
-			out := make([]result, n)
+		if ev.RespN != nil {
+			n := len(ev.Reqs)
+			out := make([]serve.Result, n)
 			copy(out, results[i:i+n])
-			ev.respN <- out
+			ev.RespN <- out
 			i += n
 			continue
 		}
-		ev.resp <- results[i]
+		ev.Resp <- results[i]
 		i++
 	}
 }
 
-// handleEvent processes one client event on the worker thread (the
-// unbatched path: inline harness, and control events).
-func (s *Server) handleEvent(t *proc.Thread, w *worker, ev *event) result {
-	if ev.inspect != nil {
-		return result{err: ev.inspect(t)}
-	}
+// handleEvent serves one request on the worker thread, unbatched (the
+// inline harness): the hardened build runs it as a one-request batch on
+// worker scratch.
+func (s *Server) handleEvent(t *proc.Thread, w *worker, conn *Conn, req []byte) serve.Result {
 	if s.cfg.Variant != VariantSDRaD {
-		return s.handleOne(t, w, ev.conn, ev.req)
+		return s.handleOne(t, w, conn, req)
 	}
-	w.one[0] = batchItem{ev: ev, req: ev.req}
+	w.one[0] = batchItem{ev: &event{Conn: conn, Req: req}, req: req}
 	return s.runHardenedBatch(t, w, w.one[:1], w.oneRes[:1])[0]
 }
 
@@ -909,16 +885,16 @@ func (s *Server) handleEvent(t *proc.Thread, w *worker, ev *event) result {
 // result per item. The hardened build handles the whole batch inside a
 // single guard scope; baselines handle items one by one (they have no
 // per-event domain cost to amortize).
-func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) []result {
+func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) []serve.Result {
 	// Safe to reuse across batches: deliver either sends a result by
 	// value or copies a pipelined run out before returning.
 	if cap(w.results) < len(items) {
-		w.results = make([]result, len(items))
+		w.results = make([]serve.Result, len(items))
 	}
 	results := w.results[:len(items)]
 	if s.cfg.Variant != VariantSDRaD {
 		for i := range items {
-			results[i] = s.handleOne(t, w, items[i].ev.conn, items[i].req)
+			results[i] = s.handleOne(t, w, items[i].ev.Conn, items[i].req)
 		}
 		return results
 	}
@@ -927,18 +903,18 @@ func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) []r
 
 // handleOne is the per-request baseline flow: preflight checks, stage
 // the request in the connection read buffer, run drive_machine.
-func (s *Server) handleOne(t *proc.Thread, w *worker, conn *Conn, req []byte) result {
+func (s *Server) handleOne(t *proc.Thread, w *worker, conn *Conn, req []byte) serve.Result {
 	if conn.closed {
-		return result{closed: true, err: ErrConnClosed}
+		return serve.Result{Closed: true, Err: ErrConnClosed}
 	}
 	if len(req) > s.cfg.ConnBufSize {
-		return result{err: ErrRequestTooLarge}
+		return serve.Result{Err: ErrRequestTooLarge}
 	}
 	w.reqs.Add(1)
 	c := t.CPU()
 	if !conn.ready {
 		if err := s.allocConnBuffers(t, conn); err != nil {
-			return result{err: err}
+			return serve.Result{Err: err}
 		}
 	}
 	// Network bytes land in the connection's read buffer (root memory).
@@ -950,7 +926,7 @@ func (s *Server) handleOne(t *proc.Thread, w *worker, conn *Conn, req []byte) re
 // memory-safety violation faults with no recovery point: the process
 // supervisor terminates the whole server, which is exactly the behaviour
 // the paper's baseline exhibits under CVE-2011-4971.
-func (s *Server) handleBaseline(t *proc.Thread, w *worker, conn *Conn, rlen int) result {
+func (s *Server) handleBaseline(t *proc.Thread, w *worker, conn *Conn, rlen int) serve.Result {
 	c := t.CPU()
 	w.initAllocators(s)
 	w.curT = t
@@ -973,14 +949,14 @@ func (s *Server) handleBaseline(t *proc.Thread, w *worker, conn *Conn, rlen int)
 		_ = s.connAllocator.Free(c, p)
 	}
 	if err != nil {
-		return result{err: err}
+		return serve.Result{Err: err}
 	}
 	resp := materializeResp(c, env.wl, conn.wbuf, wlen)
 	conn.closed = closeit
 	if closeit {
 		s.freeConnBuffers(t, conn)
 	}
-	return result{data: resp, closed: closeit}
+	return serve.Result{Resp: resp, Closed: closeit}
 }
 
 // materializeResp copies a drive_machine response out of simulated
@@ -1026,7 +1002,7 @@ func (s *Server) freeConnBuffers(t *proc.Thread, conn *Conn) {
 // deferred overlay, preserving sequential semantics); an abnormal exit
 // anywhere in the batch rewinds once, discards the whole in-flight
 // batch, and closes exactly the connections that had a request in it.
-func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, results []result) []result {
+func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, results []serve.Result) []serve.Result {
 	c := t.CPU()
 	w.initAllocators(s)
 	w.curT = t
@@ -1044,22 +1020,22 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, 
 	live := 0
 	for i := range items {
 		states[i] = evState{}
-		conn := items[i].ev.conn
+		conn := items[i].ev.Conn
 		if conn.closed {
 			states[i].done = true
-			results[i] = result{closed: true, err: ErrConnClosed}
+			results[i] = serve.Result{Closed: true, Err: ErrConnClosed}
 			continue
 		}
 		if len(items[i].req) > s.cfg.ConnBufSize {
 			states[i].done = true
-			results[i] = result{err: ErrRequestTooLarge}
+			results[i] = serve.Result{Err: ErrRequestTooLarge}
 			continue
 		}
 		w.reqs.Add(1)
 		if !conn.ready {
 			if err := s.allocConnBuffers(t, conn); err != nil {
 				states[i].done = true
-				results[i] = result{err: err}
+				results[i] = serve.Result{Err: err}
 				continue
 			}
 		}
@@ -1116,7 +1092,7 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, 
 			if states[i].done {
 				continue
 			}
-			conn := items[i].ev.conn
+			conn := items[i].ev.Conn
 			c.Write(conn.rbuf, items[i].req)
 			s.lib.Copy(t, w.slots[slot].rbuf, conn.rbuf, len(items[i].req))
 			states[i].slot = slot
@@ -1145,7 +1121,7 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, 
 			// close in the unbatched flow.
 			if closedEarlierInBatch(items, states, i) {
 				states[i].done = true
-				results[i] = result{closed: true, err: ErrConnClosed}
+				results[i] = serve.Result{Closed: true, Err: ErrConnClosed}
 				continue
 			}
 			slot := &w.slots[states[i].slot]
@@ -1187,61 +1163,49 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, 
 	}, core.Accessible(), core.HeapSize(s.cfg.DomainHeapSize))
 	if gerr != nil {
 		var abn *core.AbnormalExit
-		if errors.As(gerr, &abn) {
+		res := serve.Result{Closed: true}
+		switch {
+		case errors.As(gerr, &abn):
 			// ⑫-⑭ rewind happened: the domain, its buffer copies, and the
 			// whole in-flight batch (including its un-applied deferred
-			// ops) are gone; close every connection with a request in the
-			// batch and keep serving.
-			w.domainReady = false
-			w.slots = w.slots[:0]
+			// ops) are gone.
 			s.rewinds.Add(1)
 			if w.ctrl != nil {
 				// Multiplicative decrease: the next batches risk less
 				// collateral while the rewind window stays hot.
 				w.ctrl.NoteRewind()
 			}
-			for i := range items {
-				if states[i].done {
-					continue
-				}
-				conn := items[i].ev.conn
-				if !conn.closed {
-					conn.closed = true
-					s.freeConnBuffers(t, conn)
-					s.closedByAtk.Add(1)
-				}
-				results[i] = result{closed: true}
-			}
-			return results
-		}
-		if errors.Is(gerr, core.ErrDomainQuarantined) {
+		case errors.Is(gerr, core.ErrDomainQuarantined):
 			// The policy refused to re-create the event domain between
 			// the Admit above and the Guard (quarantine raced in, e.g. a
-			// concurrent rewind crossed the threshold). Close only this
-			// batch's connections; the domain, its slots, and the
-			// deferred ops never existed, and NO forensics report is
-			// synthesized here — the rewind that triggered the
+			// concurrent rewind crossed the threshold): the domain, its
+			// slots, and the deferred ops never existed, and NO forensics
+			// report is synthesized here — the rewind that triggered the
 			// quarantine already produced exactly one.
-			w.domainReady = false
-			w.slots = w.slots[:0]
+			res.Err = gerr
+		default:
 			for i := range items {
-				if states[i].done {
-					continue
+				if !states[i].done {
+					results[i] = serve.Result{Err: gerr}
 				}
-				conn := items[i].ev.conn
-				if !conn.closed {
-					conn.closed = true
-					s.freeConnBuffers(t, conn)
-					s.closedByAtk.Add(1)
-				}
-				results[i] = result{closed: true, err: gerr}
 			}
 			return results
 		}
+		// Either way, close every connection with a request in the batch
+		// and keep serving.
+		w.domainReady = false
+		w.slots = w.slots[:0]
 		for i := range items {
-			if !states[i].done {
-				results[i] = result{err: gerr}
+			if states[i].done {
+				continue
 			}
+			conn := items[i].ev.Conn
+			if !conn.closed {
+				conn.closed = true
+				s.freeConnBuffers(t, conn)
+				s.closedByAtk.Add(1)
+			}
+			results[i] = res
 		}
 		return results
 	}
@@ -1250,15 +1214,15 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, 
 			continue
 		}
 		if states[i].derr != nil {
-			results[i] = result{err: states[i].derr}
+			results[i] = serve.Result{Err: states[i].derr}
 			continue
 		}
-		conn := items[i].ev.conn
+		conn := items[i].ev.Conn
 		if states[i].closeit && !conn.closed {
 			conn.closed = true
 			s.freeConnBuffers(t, conn)
 		}
-		results[i] = result{data: states[i].data, closed: states[i].closeit}
+		results[i] = serve.Result{Resp: states[i].data, Closed: states[i].closeit}
 	}
 	return results
 }
@@ -1271,35 +1235,35 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, 
 // connections outright. Nothing here touches the guard scope or the
 // shared database, which is the point: the degraded path costs no
 // domain re-creation.
-func (s *Server) serveDegraded(t *proc.Thread, items []batchItem, states []evState, results []result, dec policy.Decision) []result {
+func (s *Server) serveDegraded(t *proc.Thread, items []batchItem, states []evState, results []serve.Result, dec policy.Decision) []serve.Result {
 	shedding := dec.State == policy.StateShedding
 	for i := range items {
 		if states[i].done {
 			continue
 		}
-		conn := items[i].ev.conn
+		conn := items[i].ev.Conn
 		if shedding {
 			if !conn.closed {
 				conn.closed = true
 				s.freeConnBuffers(t, conn)
 				s.shed.Add(1)
 			}
-			results[i] = result{closed: true, err: ErrConnClosed}
+			results[i] = serve.Result{Closed: true, Err: ErrConnClosed}
 			continue
 		}
 		s.degraded.Add(1)
 		req := items[i].req
 		switch {
 		case bytes.HasPrefix(req, []byte("get ")), bytes.HasPrefix(req, []byte("gets ")):
-			results[i] = result{data: []byte("END\r\n")}
+			results[i] = serve.Result{Resp: []byte("END\r\n")}
 		case bytes.HasPrefix(req, []byte("quit")):
 			if !conn.closed {
 				conn.closed = true
 				s.freeConnBuffers(t, conn)
 			}
-			results[i] = result{closed: true}
+			results[i] = serve.Result{Closed: true}
 		default:
-			results[i] = result{data: []byte("SERVER_ERROR event domain quarantined\r\n")}
+			results[i] = serve.Result{Resp: []byte("SERVER_ERROR event domain quarantined\r\n")}
 		}
 	}
 	return results
@@ -1317,7 +1281,7 @@ func (s *Server) Shed() int64 { return s.shed.Load() }
 func closedEarlierInBatch(items []batchItem, states []evState, i int) bool {
 	for j := 0; j < i; j++ {
 		if !states[j].done && states[j].derr == nil && states[j].closeit &&
-			items[j].ev.conn == items[i].ev.conn {
+			items[j].ev.Conn == items[i].ev.Conn {
 			return true
 		}
 	}
@@ -1366,20 +1330,15 @@ type InlineDo func(conn *Conn, req []byte) (resp []byte, closed bool, err error)
 func (s *Server) RunInline(name string, body func(newConn func() *Conn, do InlineDo) error) error {
 	w := &worker{idx: -1, s: s, ch: nil}
 	h := s.p.Spawn(name, func(t *proc.Thread) error {
-		if s.cfg.Variant == VariantSDRaD {
-			if err := s.lib.InitDomain(t, eventUDI, core.Accessible(), core.HeapSize(s.cfg.DomainHeapSize)); err != nil {
-				return err
-			}
-			if err := s.lib.DProtect(t, eventUDI, storageUDI, mem.ProtRW); err != nil {
-				return err
-			}
+		if err := s.initEventDomain(t); err != nil {
+			return err
 		}
 		newConn := func() *Conn {
 			return &Conn{id: int(s.connIDs.Add(1)), w: w}
 		}
 		do := func(conn *Conn, req []byte) ([]byte, bool, error) {
-			res := s.handleEvent(t, w, &event{conn: conn, req: req})
-			return res.data, res.closed, res.err
+			res := s.handleEvent(t, w, conn, req)
+			return res.Resp, res.Closed, res.Err
 		}
 		return body(newConn, do)
 	})
@@ -1453,18 +1412,8 @@ func EventDomainUDI() int { return int(eventUDI) }
 // be shared by concurrent Do callers, as before.
 func (c *Conn) Do(req []byte) (resp []byte, closed bool, err error) {
 	s := c.w.s
-	ev := &event{conn: c, req: req, resp: make(chan result, 1)}
-	select {
-	case s.submitQueue(c, req) <- ev:
-	case <-s.p.Done():
-		return nil, true, ErrServerDown
-	}
-	select {
-	case r := <-ev.resp:
-		return r.data, r.closed, r.err
-	case <-s.p.Done():
-		return nil, true, ErrServerDown
-	}
+	r := serve.Do(s.submitQueue(c, req), s.p.Done(), ErrServerDown, c, req)
+	return r.Resp, r.Closed, r.Err
 }
 
 // workerFor picks the worker an event should run on: the shard-affinity
@@ -1493,11 +1442,7 @@ func (s *Server) submitQueue(c *Conn, req []byte) chan<- *event {
 }
 
 // PipelineResult is one request's outcome from DoPipeline.
-type PipelineResult struct {
-	Resp   []byte
-	Closed bool
-	Err    error
-}
+type PipelineResult = serve.Result
 
 // DoPipeline sends reqs back-to-back on the connection and returns one
 // result per request, in order. The server handles up to MaxBatch
@@ -1509,14 +1454,6 @@ type PipelineResult struct {
 // Closed with ErrConnClosed, exactly as if they were issued after it.
 func (c *Conn) DoPipeline(reqs [][]byte) []PipelineResult {
 	s := c.w.s
-	out := make([]PipelineResult, 0, len(reqs))
-	down := func() []PipelineResult {
-		for len(out) < len(reqs) {
-			out = append(out, PipelineResult{Closed: true, Err: ErrServerDown})
-		}
-		return out
-	}
-	maxB := s.cfg.MaxBatch
 	// All chunks go to ONE worker: concurrent chunks of a pipeline on
 	// two workers would race on the connection's buffers. With the
 	// scheduler routing, the pipeline's first key picks the worker.
@@ -1524,31 +1461,7 @@ func (c *Conn) DoPipeline(reqs [][]byte) []PipelineResult {
 	if s.router != nil && len(reqs) > 0 {
 		w = s.workerFor(c, reqs[0])
 	}
-	var evs []*event
-	for off := 0; off < len(reqs); off += maxB {
-		end := off + maxB
-		if end > len(reqs) {
-			end = len(reqs)
-		}
-		ev := &event{conn: c, reqs: reqs[off:end], respN: make(chan []result, 1)}
-		select {
-		case w.ch <- ev:
-			evs = append(evs, ev)
-		case <-s.p.Done():
-			return down()
-		}
-	}
-	for _, ev := range evs {
-		select {
-		case rs := <-ev.respN:
-			for _, r := range rs {
-				out = append(out, PipelineResult{Resp: r.data, Closed: r.closed, Err: r.err})
-			}
-		case <-s.p.Done():
-			return down()
-		}
-	}
-	return out
+	return serve.DoPipeline(w.ch, s.p.Done(), ErrServerDown, c, reqs, s.cfg.MaxBatch)
 }
 
 // MaxBatch returns the server's configured guard-scope batch limit.
@@ -1575,19 +1488,7 @@ func (s *Server) StealSegments() int64 { return s.stealSegments.Load() }
 // serving thread between events; fn must leave the thread in the root
 // domain.
 func (c *Conn) Inspect(fn func(t *proc.Thread) error) error {
-	s := c.w.s
-	ev := &event{inspect: fn, resp: make(chan result, 1)}
-	select {
-	case c.w.ch <- ev:
-	case <-s.p.Done():
-		return ErrServerDown
-	}
-	select {
-	case r := <-ev.resp:
-		return r.err
-	case <-s.p.Done():
-		return ErrServerDown
-	}
+	return serve.Inspect(c.w.ch, c.w.s.p.Done(), ErrServerDown, fn)
 }
 
 // Stop shuts the server down and waits for the workers.

@@ -6,11 +6,12 @@ import "sync/atomic"
 // assign[s]. Events whose key maps to shard s are routed to that worker,
 // so concurrent workers take disjoint lock stripes through
 // ApplyShardBatch instead of colliding on whichever shard their
-// round-robin connections happen to touch. Assignments are read on the
-// per-request submit path and rebiasable at runtime, hence the atomics.
+// round-robin connections happen to touch. The map is fixed at
+// construction; only the keyless cursor is shared mutable state on the
+// per-request submit path.
 type Router struct {
 	workers int
-	assign  []atomic.Int32
+	assign  []int
 	keyless atomic.Int64 // round-robin cursor for keyless/out-of-range shards
 }
 
@@ -23,9 +24,9 @@ func NewRouter(workers, shards int) *Router {
 	if shards < 1 {
 		shards = 1
 	}
-	r := &Router{workers: workers, assign: make([]atomic.Int32, shards)}
+	r := &Router{workers: workers, assign: make([]int, shards)}
 	for s := range r.assign {
-		r.assign[s].Store(int32(s % workers))
+		r.assign[s] = s % workers
 	}
 	return r
 }
@@ -39,22 +40,5 @@ func (r *Router) Worker(shard int) int {
 	if shard < 0 || shard >= len(r.assign) {
 		return int(r.keyless.Add(1)-1) % r.workers
 	}
-	return int(r.assign[shard].Load())
-}
-
-// Rebias reassigns a shard to a worker.
-func (r *Router) Rebias(shard, worker int) {
-	if shard < 0 || shard >= len(r.assign) || worker < 0 || worker >= r.workers {
-		return
-	}
-	r.assign[shard].Store(int32(worker))
-}
-
-// Assignments snapshots the shard→worker map.
-func (r *Router) Assignments() []int {
-	out := make([]int, len(r.assign))
-	for s := range r.assign {
-		out[s] = int(r.assign[s].Load())
-	}
-	return out
+	return r.assign[shard]
 }

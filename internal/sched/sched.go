@@ -33,9 +33,13 @@ import (
 	"time"
 )
 
-// Config parameterizes a Controller (and carries the server-side split
-// tuning). The zero value is usable: defaults are applied by the server
-// when it adopts the config.
+// MinSplitRun is the smallest contiguous same-shard event run worth its
+// own guard scope when the server splits a mixed batch by shard.
+const MinSplitRun = 4
+
+// Config parameterizes a Controller (and carries the server-side routing
+// and stealing switches). The zero value is usable: defaults are applied
+// by the server when it adopts the config.
 type Config struct {
 	// MaxBatch is the controller ceiling. The server defaults it to its
 	// own MaxBatch; the adaptive bound never exceeds it, which is why
@@ -47,10 +51,6 @@ type Config struct {
 	// IdleRounds is how many consecutive backlog-free rounds trigger one
 	// halving step toward bound 1 (default 2).
 	IdleRounds int
-	// MinSplitRun is the smallest contiguous same-shard event run worth
-	// its own guard scope when a mixed batch is split by dominant shard
-	// (default 4; 0 uses the default, negative disables splitting).
-	MinSplitRun int
 	// Clock returns nanoseconds; nil uses time.Now().UnixNano(). Chaos
 	// campaigns and tests install a policy.ManualClock's Now so every
 	// window decision is deterministic.
@@ -95,9 +95,6 @@ func (c Config) withDefaults(maxBatch int) Config {
 	}
 	if c.IdleRounds <= 0 {
 		c.IdleRounds = 2
-	}
-	if c.MinSplitRun == 0 {
-		c.MinSplitRun = 4
 	}
 	if c.StealInterval <= 0 {
 		c.StealInterval = 200 * time.Microsecond
@@ -151,10 +148,6 @@ func (c *Controller) Bound() int { return int(c.bound.Load()) }
 
 // MaxBatch returns the controller ceiling.
 func (c *Controller) MaxBatch() int { return c.cfg.MaxBatch }
-
-// MinSplitRun returns the configured shard-split run floor (<=0 means
-// splitting is disabled).
-func (c *Controller) MinSplitRun() int { return c.cfg.MinSplitRun }
 
 // Now reads the controller clock (the worker uses it to time rounds so
 // manual-clock runs stay deterministic).
@@ -376,16 +369,18 @@ type Snapshot struct {
 	FloorPins     int64
 }
 
-// Snapshot reads the controller state. Bound and the counters are exact
-// from any goroutine; WindowRewinds and EWMAItemNs are owned by the
-// worker goroutine and are exact only when the worker is quiescent
-// (which is how the deterministic chaos campaign reads them).
+// Snapshot reads the controller state, safe from any goroutine.
+// WindowRewinds and EWMAItemNs come from the published load mirrors, so
+// they are current as of the worker's last round (exact when the worker
+// is quiescent, which is how the deterministic chaos campaign reads
+// them).
 func (c *Controller) Snapshot() Snapshot {
+	ewma, win := c.Load()
 	return Snapshot{
 		Bound:         int(c.bound.Load()),
 		MaxBatch:      c.cfg.MaxBatch,
-		WindowRewinds: len(c.rewinds),
-		EWMAItemNs:    c.ewmaItemNs,
+		WindowRewinds: win,
+		EWMAItemNs:    ewma,
 		Grows:         c.grows.Load(),
 		Shrinks:       c.shrinks.Load(),
 		Collapses:     c.collapses.Load(),

@@ -160,10 +160,6 @@ func TestRouterUniformInitialAssignment(t *testing.T) {
 			t.Fatalf("shard %d → worker %d, want %d", s, got, s%4)
 		}
 	}
-	r.Rebias(5, 3)
-	if got := r.Worker(5); got != 3 {
-		t.Fatalf("after rebias shard 5 → worker %d, want 3", got)
-	}
 }
 
 func TestRouterKeylessSpreadsRoundRobin(t *testing.T) {
